@@ -84,7 +84,12 @@ impl HybridDecoder {
     /// Propagates entropy-decoding and solver failures, and rejects windows
     /// encoded under a different configuration.
     pub fn decode(&self, encoded: &EncodedWindow) -> Result<DecodedWindow, CoreError> {
-        self.decode_with_box(encoded, true)
+        self.decode_workspace(
+            encoded,
+            true,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
     }
 
     /// Decodes one window ignoring the low-resolution side information —
@@ -94,62 +99,22 @@ impl HybridDecoder {
     ///
     /// Same conditions as [`HybridDecoder::decode`].
     pub fn decode_normal(&self, encoded: &EncodedWindow) -> Result<DecodedWindow, CoreError> {
-        self.decode_with_box(encoded, false)
+        self.decode_workspace(
+            encoded,
+            false,
+            &mut NoopObserver,
+            &mut SolverWorkspace::new(),
+        )
     }
 
-    /// [`HybridDecoder::decode`] with an
-    /// [`IterationObserver`] receiving the configured solver's
-    /// per-iteration events and final
-    /// [`ConvergenceTrace`](hybridcs_solver::ConvergenceTrace).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridDecoder::decode`].
-    pub fn decode_observed(
-        &self,
-        encoded: &EncodedWindow,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_observed_with_box(encoded, true, observer)
-    }
-
-    /// [`HybridDecoder::decode_normal`] with an [`IterationObserver`] —
-    /// the hook the recovery supervisor uses to watchdog the CS-only
-    /// ladder rung exactly like the hybrid one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridDecoder::decode_normal`].
-    pub fn decode_normal_observed(
-        &self,
-        encoded: &EncodedWindow,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_observed_with_box(encoded, false, observer)
-    }
-
-    fn decode_with_box(
-        &self,
-        encoded: &EncodedWindow,
-        use_box: bool,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_observed_with_box(encoded, use_box, &mut NoopObserver)
-    }
-
-    fn decode_observed_with_box(
-        &self,
-        encoded: &EncodedWindow,
-        use_box: bool,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DecodedWindow, CoreError> {
-        self.decode_workspace(encoded, use_box, observer, &mut SolverWorkspace::new())
-    }
-
-    /// [`HybridDecoder::decode_observed`] (or `decode_normal_observed` with
-    /// `use_box = false`) drawing all solver buffers from a caller-owned
-    /// [`SolverWorkspace`]. Reusing one workspace across windows keeps the
-    /// solver inner loop allocation-free after warm-up; results are
-    /// bit-identical to the plain entry points.
+    /// [`HybridDecoder::decode`] (or [`HybridDecoder::decode_normal`] with
+    /// `use_box = false`) with an [`IterationObserver`] receiving the
+    /// configured solver's per-iteration events and final
+    /// [`ConvergenceTrace`](hybridcs_solver::ConvergenceTrace), and all
+    /// solver buffers drawn from a caller-owned [`SolverWorkspace`]. Reusing
+    /// one workspace across windows keeps the solver inner loop
+    /// allocation-free after warm-up; results are bit-identical to the
+    /// plain entry points.
     ///
     /// # Errors
     ///
@@ -233,9 +198,9 @@ impl HybridDecoder {
     /// (shape mismatch, undecodable low-res section) get exactly the error
     /// the one-window path would produce, without disturbing their
     /// batch-mates; a batch-level solver rejection (e.g. a non-finite
-    /// window) re-runs the group serially so per-window errors still land
-    /// in the right slots. The ADMM algorithm has no batched variant and
-    /// decodes the group serially.
+    /// window) re-runs the group one window at a time so per-window errors
+    /// still land in the right slots. The ADMM algorithm has no batched
+    /// variant and decodes the group one window at a time.
     ///
     /// # Errors
     ///
@@ -298,7 +263,7 @@ impl HybridDecoder {
                 Ok(batch) => {
                     // The `as` cast re-derives the trait-object lifetime from
                     // this short reborrow, so `observers` is usable again on
-                    // the serial fallback below.
+                    // the one-window fallback below.
                     let mut refs: Vec<&mut dyn IterationObserver> = observers
                         .iter_mut()
                         .enumerate()
@@ -319,7 +284,9 @@ impl HybridDecoder {
                             &mut results,
                         )
                         .is_ok(),
-                        DecoderAlgorithm::Admm(_) => unreachable!("routed to serial above"),
+                        DecoderAlgorithm::Admm(_) => {
+                            unreachable!("routed one window at a time above")
+                        }
                     }
                 }
             };
@@ -335,8 +302,8 @@ impl HybridDecoder {
             } else {
                 // Batch construction/validation rejected the group before a
                 // single iteration ran (e.g. one window's measurements are
-                // non-finite). Re-raise per window through the serial path so
-                // each slot gets exactly the one-window error or result.
+                // non-finite). Re-raise per window through the one-window path
+                // so each slot gets exactly the one-window error or result.
                 for &i in &pending {
                     staged[i] =
                         Some(self.decode_workspace(encoded[i], use_box, &mut *observers[i], ws));
@@ -438,26 +405,26 @@ mod tests {
         ));
     }
 
-    fn assert_window_bits(batch: &DecodedWindow, serial: &DecodedWindow) {
-        assert_eq!(batch.used_box, serial.used_box);
-        assert_eq!(batch.recovery.iterations, serial.recovery.iterations);
-        assert_eq!(batch.recovery.converged, serial.recovery.converged);
+    fn assert_window_bits(batch: &DecodedWindow, alone: &DecodedWindow) {
+        assert_eq!(batch.used_box, alone.used_box);
+        assert_eq!(batch.recovery.iterations, alone.recovery.iterations);
+        assert_eq!(batch.recovery.converged, alone.recovery.converged);
         assert_eq!(
             batch.recovery.residual.to_bits(),
-            serial.recovery.residual.to_bits()
+            alone.recovery.residual.to_bits()
         );
         assert_eq!(
             batch.recovery.objective.to_bits(),
-            serial.recovery.objective.to_bits()
+            alone.recovery.objective.to_bits()
         );
-        assert_eq!(batch.signal.len(), serial.signal.len());
-        for (a, b) in batch.signal.iter().zip(&serial.signal) {
+        assert_eq!(batch.signal.len(), alone.signal.len());
+        for (a, b) in batch.signal.iter().zip(&alone.signal) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
-    fn batch_decode_bit_identical_to_serial() {
+    fn batch_decode_bit_identical_to_one_window_decodes() {
         let config = SystemConfig {
             measurements: 64,
             ..SystemConfig::default()
@@ -468,7 +435,7 @@ mod tests {
             .collect();
         for use_box in [true, false] {
             let mut ws = hybridcs_solver::SolverWorkspace::new();
-            let serial: Vec<DecodedWindow> = encoded
+            let alone: Vec<DecodedWindow> = encoded
                 .iter()
                 .map(|enc| {
                     dec.decode_workspace(enc, use_box, &mut NoopObserver, &mut ws)
@@ -484,8 +451,8 @@ mod tests {
             let mut out = Vec::new();
             dec.decode_batch_workspace(&refs, use_box, &mut obs, &mut ws, &mut out)
                 .unwrap();
-            assert_eq!(out.len(), serial.len());
-            for (got, want) in out.iter().zip(&serial) {
+            assert_eq!(out.len(), alone.len());
+            for (got, want) in out.iter().zip(&alone) {
                 assert_window_bits(got.as_ref().unwrap(), want);
             }
         }
@@ -503,10 +470,10 @@ mod tests {
         let mut bad = good_a.clone();
         bad.window_len += 1;
         let mut ws = hybridcs_solver::SolverWorkspace::new();
-        let serial_a = dec
+        let alone_a = dec
             .decode_workspace(&good_a, true, &mut NoopObserver, &mut ws)
             .unwrap();
-        let serial_b = dec
+        let alone_b = dec
             .decode_workspace(&good_b, true, &mut NoopObserver, &mut ws)
             .unwrap();
         let refs: Vec<&EncodedWindow> = vec![&good_a, &bad, &good_b];
@@ -518,9 +485,9 @@ mod tests {
         let mut out = Vec::new();
         dec.decode_batch_workspace(&refs, true, &mut obs, &mut ws, &mut out)
             .unwrap();
-        assert_window_bits(out[0].as_ref().unwrap(), &serial_a);
+        assert_window_bits(out[0].as_ref().unwrap(), &alone_a);
         assert!(matches!(out[1], Err(CoreError::WindowMismatch { .. })));
-        assert_window_bits(out[2].as_ref().unwrap(), &serial_b);
+        assert_window_bits(out[2].as_ref().unwrap(), &alone_b);
 
         // The batch itself is only malformed when observers don't pair up.
         let mut lone = NoopObserver;

@@ -321,113 +321,27 @@ impl DecodeLadder {
         }
     }
 
-    /// Walks the non-concealment rungs over the surviving sections. With
-    /// `skip_solvers` (load shedding) the hybrid and CS-only rungs are
-    /// demoted with reason `"shed"` without running a solver, landing on
-    /// the cheap low-res rung when that section survived.
+    /// Walks the non-concealment rungs for a group of same-shape windows:
+    /// hybrid (Eq. (1) with the box), then CS-only, then the low-res cell
+    /// midpoints, stopping at the first rung that yields a finite signal.
+    /// Every solve is watched by its own [`SolverWatchdog`]; a solver error,
+    /// a watchdog trip or a non-finite output demotes the window to the next
+    /// rung. With [`LadderJob::skip_solvers`] (load shedding) the solver
+    /// rungs are demoted with reason `"shed"` without running a solver.
+    ///
+    /// The hybrid and CS-only rungs are batched across every window still
+    /// on that rung, so the operator kernels amortize their per-iteration
+    /// table work across the group (and vectorize across it when SIMD is
+    /// enabled). Outcomes come back in job order, and each window's outcome
+    /// is bit-identical to walking it alone (a one-job call) — each window
+    /// keeps its own watchdog, its own demotion trail, and its own stopping
+    /// decisions.
     ///
     /// This is the expensive, pure half of
     /// [`RecoverySupervisor::receive`]: no session state is read or
-    /// written, so any thread may run it.
-    #[must_use]
-    pub fn solve(
-        &self,
-        measurements: Option<&[f64]>,
-        lowres: Option<&Payload>,
-        skip_solvers: bool,
-    ) -> LadderOutcome {
-        self.solve_with(
-            measurements,
-            lowres,
-            skip_solvers,
-            &mut SolverWorkspace::new(),
-        )
-    }
-
-    /// [`DecodeLadder::solve`] drawing all solver buffers from a
-    /// caller-owned [`SolverWorkspace`]. The gateway keeps one workspace per
-    /// shard and threads it through every window, so steady-state decodes
-    /// allocate nothing inside the solver loops. Results are bit-identical
-    /// to [`DecodeLadder::solve`].
-    #[must_use]
-    pub fn solve_with(
-        &self,
-        measurements: Option<&[f64]>,
-        lowres: Option<&Payload>,
-        skip_solvers: bool,
-        ws: &mut SolverWorkspace,
-    ) -> LadderOutcome {
-        let _span = hybridcs_obs::span!("ladder.solve");
-        let mut demotions: Vec<(LadderRung, &'static str)> = Vec::new();
-
-        if skip_solvers {
-            if measurements.is_some() && lowres.is_some() {
-                demotions.push((LadderRung::Hybrid, "shed"));
-            }
-            if measurements.is_some() {
-                demotions.push((LadderRung::CsOnly, "shed"));
-            }
-        } else {
-            if let (Some(meas), Some(lr)) = (measurements, lowres) {
-                match self.try_decode(meas, lr, true, ws) {
-                    Ok(decoded) => {
-                        return LadderOutcome {
-                            chosen: Some((
-                                LadderRung::Hybrid,
-                                decoded.signal.clone(),
-                                Some(decoded),
-                            )),
-                            demotions,
-                        };
-                    }
-                    Err(reason) => demotions.push((LadderRung::Hybrid, reason)),
-                }
-            }
-            if let Some(meas) = measurements {
-                let placeholder = Payload {
-                    bytes: Vec::new(),
-                    bit_len: 0,
-                };
-                match self.try_decode(meas, &placeholder, false, ws) {
-                    Ok(decoded) => {
-                        return LadderOutcome {
-                            chosen: Some((
-                                LadderRung::CsOnly,
-                                decoded.signal.clone(),
-                                Some(decoded),
-                            )),
-                            demotions,
-                        };
-                    }
-                    Err(reason) => demotions.push((LadderRung::CsOnly, reason)),
-                }
-            }
-        }
-        if let Some(lr) = lowres {
-            match self.lowres_midpoints(lr) {
-                Ok(signal) => {
-                    return LadderOutcome {
-                        chosen: Some((LadderRung::LowResOnly, signal, None)),
-                        demotions,
-                    };
-                }
-                Err(reason) => demotions.push((LadderRung::LowResOnly, reason)),
-            }
-        }
-        LadderOutcome {
-            chosen: None,
-            demotions,
-        }
-    }
-
-    /// Batched [`DecodeLadder::solve_with`]: walks the same rung ladder for
-    /// a group of same-shape windows, batching the hybrid and CS-only
-    /// solver rungs across every window still on that rung so the operator
-    /// kernels amortize their per-iteration table work across the group
-    /// (and vectorize across it when SIMD is enabled). Outcomes come back
-    /// in job order and are bit-identical to calling `solve_with` once per
-    /// window — each window keeps its own watchdog, its own demotion
-    /// trail, and its own stopping decisions.
+    /// written, so any thread may run it. All solver buffers come from the
+    /// caller's [`SolverWorkspace`]; the gateway keeps one per shard, so
+    /// steady-state decodes allocate nothing inside the solver loops.
     #[must_use]
     pub fn solve_batch_with(
         &self,
@@ -499,8 +413,7 @@ impl DecodeLadder {
 
     /// One solver rung of [`solve_batch_with`](DecodeLadder::solve_batch_with):
     /// a watched batched decode over `group`, scattering per-window success
-    /// into `chosen` and failure reasons into `demotions` — exactly
-    /// [`try_decode`](DecodeLadder::try_decode)'s verdicts, per window.
+    /// into `chosen` and failure reasons into `demotions`.
     fn rung_batch(
         &self,
         jobs: &[LadderJob<'_>],
@@ -579,40 +492,6 @@ impl DecodeLadder {
                         chosen[i] = Some((rung, decoded.signal.clone(), Some(decoded)));
                     }
                 }
-            }
-        }
-    }
-
-    /// Runs one watched decode; a solver error, a watchdog trip, or a
-    /// non-finite output all demote instead of propagating.
-    fn try_decode(
-        &self,
-        measurements: &[f64],
-        lowres: &Payload,
-        use_box: bool,
-        ws: &mut SolverWorkspace,
-    ) -> Result<DecodedWindow, &'static str> {
-        let system = self.decoder.config();
-        let encoded = EncodedWindow {
-            measurements: measurements.to_vec(),
-            lowres: lowres.clone(),
-            window_len: system.window,
-            measurement_bits: system.measurement_bits,
-        };
-        let mut watchdog = SolverWatchdog::new(self.watchdog);
-        let result = self
-            .decoder
-            .decode_workspace(&encoded, use_box, &mut watchdog, ws);
-        match result {
-            Err(_) => Err("decode_error"),
-            Ok(decoded) => {
-                if watchdog.trip().is_some() {
-                    return Err("watchdog");
-                }
-                if decoded.signal.iter().any(|v| !v.is_finite()) {
-                    return Err("non_finite");
-                }
-                Ok(decoded)
             }
         }
     }
@@ -793,6 +672,9 @@ impl SessionLedger {
 pub struct RecoverySupervisor {
     ladder: DecodeLadder,
     ledger: SessionLedger,
+    /// Solver buffers reused across windows; results never depend on
+    /// their contents, so a session reset leaves them alone.
+    ws: SolverWorkspace,
 }
 
 impl RecoverySupervisor {
@@ -810,6 +692,7 @@ impl RecoverySupervisor {
         Ok(RecoverySupervisor {
             ladder: DecodeLadder::new(system, lowres_codec, config.watchdog)?,
             ledger: SessionLedger::new(system.window, config.max_conceal_reuse),
+            ws: SolverWorkspace::new(),
         })
     }
 
@@ -848,12 +731,15 @@ impl RecoverySupervisor {
         if let Some(seq) = parsed.sequence {
             self.ledger.track_sequence(seq);
         }
-        let outcome = self.ladder.solve(
-            parsed.measurements.as_deref(),
-            parsed.lowres.as_ref(),
-            false,
-        );
-        self.ledger.commit(parsed.sequence, outcome)
+        let job = LadderJob {
+            measurements: parsed.measurements.as_deref(),
+            lowres: parsed.lowres.as_ref(),
+            skip_solvers: false,
+            context: None,
+        };
+        let outcome = self.ladder.solve_batch_with(&[job], &mut self.ws).pop();
+        self.ledger
+            .commit(parsed.sequence, outcome.expect("one outcome per job"))
     }
 }
 
@@ -880,6 +766,22 @@ mod tests {
         (frontend, supervisor, window)
     }
 
+    /// Walks one window alone: a one-job [`DecodeLadder::solve_batch_with`].
+    fn walk_one(
+        ladder: &DecodeLadder,
+        parsed: &ParsedSections,
+        skip_solvers: bool,
+        ws: &mut SolverWorkspace,
+    ) -> LadderOutcome {
+        let job = LadderJob {
+            measurements: parsed.measurements.as_deref(),
+            lowres: parsed.lowres.as_ref(),
+            skip_solvers,
+            context: None,
+        };
+        ladder.solve_batch_with(&[job], ws).remove(0)
+    }
+
     /// The ladder must be shareable across worker threads.
     #[test]
     fn decode_ladder_is_send_and_sync() {
@@ -893,10 +795,12 @@ mod tests {
         let encoded = frontend.encode(&window).unwrap();
         let bytes = supervisor.frame_codec().serialize(0, &encoded).unwrap();
         let parsed = supervisor.ladder().parse(Some(&bytes));
-        let outcome =
-            supervisor
-                .ladder()
-                .solve(parsed.measurements.as_deref(), parsed.lowres.as_ref(), true);
+        let outcome = walk_one(
+            supervisor.ladder(),
+            &parsed,
+            true,
+            &mut SolverWorkspace::new(),
+        );
         let (rung, signal, decoded) = outcome.chosen.expect("low-res rung should succeed");
         assert_eq!(rung, LadderRung::LowResOnly);
         assert_eq!(signal.len(), window.len());
@@ -920,11 +824,7 @@ mod tests {
             SupervisorConfig::default().max_conceal_reuse,
         );
         let parsed = ladder.parse(Some(&bytes));
-        let outcome = ladder.solve(
-            parsed.measurements.as_deref(),
-            parsed.lowres.as_ref(),
-            false,
-        );
+        let outcome = walk_one(&ladder, &parsed, false, &mut SolverWorkspace::new());
         let split = ledger.commit(parsed.sequence, outcome);
 
         // ...and compare with the one-call path.
@@ -988,10 +888,10 @@ mod tests {
         assert_eq!(after.signal, vec![0.0; window.len()]);
     }
 
-    /// The batched ladder must reproduce the serial ladder bit for bit for
-    /// every section-survival pattern, including shed and lost windows.
+    /// A batched walk must reproduce each window's one-job walk bit for bit
+    /// for every section-survival pattern, including shed and lost windows.
     #[test]
-    fn batched_ladder_matches_serial_per_window() {
+    fn batched_ladder_matches_one_job_walks() {
         let (frontend, supervisor, window) = setup();
         let ladder = supervisor.ladder();
         let generator = EcgGenerator::new(GeneratorConfig::normal_sinus()).unwrap();
@@ -1026,12 +926,16 @@ mod tests {
             })
             .collect();
         let mut ws = SolverWorkspace::new();
-        let serial: Vec<LadderOutcome> = jobs
+        let alone: Vec<LadderOutcome> = jobs
             .iter()
-            .map(|j| ladder.solve_with(j.measurements, j.lowres, j.skip_solvers, &mut ws))
+            .map(|j| {
+                ladder
+                    .solve_batch_with(std::slice::from_ref(j), &mut ws)
+                    .remove(0)
+            })
             .collect();
         let batched = ladder.solve_batch_with(&jobs, &mut ws);
-        assert_eq!(batched, serial);
+        assert_eq!(batched, alone);
         assert_eq!(
             batched[0].chosen.as_ref().map(|(rung, _, _)| *rung),
             Some(LadderRung::Hybrid)

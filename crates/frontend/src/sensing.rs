@@ -326,6 +326,13 @@ impl SensingMatrix {
         out_panel: &mut [f64],
         scratch: &mut [f64],
     ) {
+        // A one-lane panel is laid out exactly like a plain vector, and at
+        // K = 1 the one-vector kernels are the faster ones (measured ~4×
+        // forward, ~10× adjoint).
+        if k == 1 {
+            self.apply_into_scratch(x_panel, out_panel, scratch);
+            return;
+        }
         self.apply_batch_tier(
             x_panel,
             k,
@@ -386,6 +393,10 @@ impl SensingMatrix {
         out_panel: &mut [f64],
         scratch: &mut [f64],
     ) {
+        if k == 1 {
+            self.apply_adjoint_into(y_panel, out_panel);
+            return;
+        }
         self.apply_adjoint_batch_tier(
             y_panel,
             k,

@@ -1,4 +1,5 @@
-//! Batched multi-window decode: lockstep solvers over K same-shape windows.
+//! The iteration loops of PDHG, FISTA, IHT and reweighted ℓ₁, written once
+//! over K same-shape windows in lockstep.
 //!
 //! A gateway shard flush typically holds many pending windows that share one
 //! [`DecodeLadder`-style configuration]: the same sensing operator, the same
@@ -7,16 +8,22 @@
 //! the `solve_*_batch_workspace` entry points iterate all K windows in
 //! lockstep over **column-major panels**: element `i` of window-lane `l`
 //! lives at `i * k + l`, so one SIMD vector spans 4 adjacent lanes of the
-//! same row and the per-window accumulation order is *exactly* the serial
-//! scalar order.
+//! same row and each window's accumulation order is the one-window order.
+//!
+//! A single window is the K = 1 case of the same loop: `solve_*_workspace`
+//! (and the plain `solve_*` entry points above it) hand a one-window batch
+//! to the private `*_lanes` cores here. A one-lane panel has the memory
+//! layout of a plain vector, and the sensing, wavelet and soft-threshold
+//! panel kernels dispatch K = 1 to their one-vector kernels, so the
+//! lockstep bookkeeping is all the K = 1 path adds.
 //!
 //! # Bit-identity contract
 //!
 //! For every window, batch solve results (`signal`, `iterations`,
 //! `converged`, `residual`, `objective`) and the observer event stream are
-//! **bit-identical** to the corresponding serial `solve_*_workspace` call,
-//! for any batch size and any SIMD tier (`wall_time` in the completion trace
-//! is telemetry and may differ). This holds because:
+//! **bit-identical** to solving that window alone (K = 1), for any batch
+//! size and any SIMD tier (`wall_time` in the completion trace is telemetry
+//! and may differ). This holds because:
 //!
 //! * panel kernels ([`hybridcs_linalg::simd`], [`crate::simd`], the DWT
 //!   panel transforms, the batched sensing operators) vectorize across
@@ -27,13 +34,12 @@
 //! * converged/aborted windows **retire**: their lane is repacked out of
 //!   every persistent panel ([`hybridcs_linalg::simd::drop_lane`]) so
 //!   surviving windows keep iterating on the exact values they would have
-//!   had serially, with a shrinking stride.
+//!   had alone, with a shrinking stride.
 //!
 //! Windows may stop at different iterations (per-window stopping masks);
-//! retirement happens the same iteration the serial solver would break.
+//! a window retires the iteration its own stopping test fires.
 
 use crate::pdhg;
-use crate::reweighted::OffsetForward;
 use crate::{
     BpdnProblem, FistaOptions, GreedyOptions, PdhgOptions, RecoveryResult, ReweightedOptions,
     SolverError, SolverWorkspace,
@@ -148,6 +154,35 @@ fn check_observers(
     Ok(())
 }
 
+/// Forwards inner-PDHG iteration events with a cumulative iteration offset
+/// so the outer trace counts monotonically across reweighting rounds, and
+/// swallows the per-round completion traces (the outer solve emits one
+/// unified `reweighted` trace instead).
+struct OffsetForward<'o> {
+    inner: &'o mut dyn IterationObserver,
+    offset: usize,
+}
+
+impl IterationObserver for OffsetForward<'_> {
+    fn active(&self) -> bool {
+        self.inner.active()
+    }
+
+    fn on_iteration(&mut self, event: &IterationEvent) {
+        self.inner.on_iteration(&IterationEvent {
+            iteration: self.offset + event.iteration,
+            ..*event
+        });
+    }
+
+    fn on_complete(&mut self, _trace: &ConvergenceTrace) {}
+
+    fn should_abort(&self) -> bool {
+        // Forwarded so a watchdog can stop the inner PDHG mid-round.
+        self.inner.should_abort()
+    }
+}
+
 /// [`crate::prox::project_l2_ball`] on one strided lane of a panel, against
 /// a contiguous center — the same dist/scale arithmetic element for element.
 fn project_l2_ball_lane(v: &mut [f64], center: &[f64], radius: f64, k: usize, lane: usize) {
@@ -170,7 +205,8 @@ fn clamp_box_lane(v: &mut [f64], lo: &[f64], hi: &[f64], k: usize, lane: usize) 
     }
 }
 
-/// The serial weighted-ℓ₁ sum `Σ wᵢ·|αᵢ|` over one strided lane.
+/// The weighted-ℓ₁ sum `Σ wᵢ·|αᵢ|` over one strided lane, in ascending
+/// element order.
 fn weighted_norm1_lane(panel: &[f64], w: &[f64], k: usize, lane: usize) -> f64 {
     w.iter()
         .enumerate()
@@ -204,7 +240,7 @@ fn finalize_pdhg_lane(
     fin_op_scratch: &mut [f64],
     ws: &mut SolverWorkspace,
 ) -> RecoveryResult {
-    // Gather to a contiguous vector and run the exact serial epilogue.
+    // Gather to a contiguous vector and run the one-vector epilogue.
     simd::gather_lane(x_panel, k, lane, fin_sig);
     if let Some((lo, hi)) = p.box_bounds {
         crate::prox::project_box(fin_sig, lo, hi);
@@ -235,11 +271,12 @@ fn finalize_pdhg_lane(
     }
 }
 
-/// Lockstep batched [`solve_pdhg_workspace`](crate::solve_pdhg_workspace):
-/// solves every window of `batch` simultaneously over K-wide panels, filling
+/// Batched [`solve_pdhg_workspace`](crate::solve_pdhg_workspace): solves
+/// every window of `batch` simultaneously over K-wide panels, filling
 /// `out[w]` with window `w`'s result. Per window, the result and the
-/// observer event stream are **bit-identical** to the serial solve — see the
-/// [module docs](self) for why. `observers[w]` observes window `w`.
+/// observer event stream are **bit-identical** to solving the window alone
+/// — see the [module docs](self) for why. `observers[w]` observes window
+/// `w`.
 ///
 /// `out` is an out-parameter (cleared and refilled) so a caller looping over
 /// shard flushes reuses its capacity; returned signals are workspace buffers
@@ -257,11 +294,24 @@ pub fn solve_pdhg_batch_workspace(
     ws: &mut SolverWorkspace,
     out: &mut Vec<Option<RecoveryResult>>,
 ) -> Result<(), SolverError> {
+    out.clear();
+    out.resize_with(batch.len(), || None);
+    pdhg_lanes(batch, options, observers, ws, out)
+}
+
+/// The PDHG iteration loop: [`solve_pdhg_batch_workspace`] writing into a
+/// caller-sized `out` (one slot per window), so a one-window caller can
+/// pass a stack slot.
+pub(crate) fn pdhg_lanes(
+    batch: &BatchProblem<'_, '_>,
+    options: &PdhgOptions,
+    observers: &mut [&mut dyn IterationObserver],
+    ws: &mut SolverWorkspace,
+    out: &mut [Option<RecoveryResult>],
+) -> Result<(), SolverError> {
     let started = Instant::now();
     pdhg::validate_options(options)?;
     check_observers(observers, batch.len())?;
-    out.clear();
-    out.resize_with(batch.len(), || None);
     let Some(first) = batch.problems().first() else {
         return Ok(());
     };
@@ -287,7 +337,7 @@ pub fn solve_pdhg_batch_workspace(
     let mut x_bar = ws.acquire_panel(n, k0);
     let mut z1 = ws.acquire_panel(m, k0);
     // `z2` stays zero-filled without a box so the primal gradient computes
-    // `at + 0.0` exactly like the serial loop (signed zeros included).
+    // `at + 0.0` whether or not a box is present (signed zeros included).
     let mut z2 = ws.acquire_panel(n, k0);
     let mut snapshot = ws.acquire_panel(n, k0);
     let mut weight_panel = ws.acquire_panel(if has_weights { n } else { 0 }, k0);
@@ -302,7 +352,7 @@ pub fn solve_pdhg_batch_workspace(
     let mut x_new = ws.acquire_panel(n, k0);
     let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::panel_scratch_len(n, k0));
     let mut op_scratch = ws.acquire(a.batch_scratch_len(k0));
-    // Serial-shape scratch for per-window init and finalisation.
+    // One-window scratch for per-window init and finalisation.
     let mut fin_sig = ws.acquire(n);
     let mut fin_ax = ws.acquire(m);
     let mut fin_coeffs = ws.acquire(n);
@@ -440,7 +490,7 @@ pub fn solve_pdhg_batch_workspace(
         }
     }
 
-    // Budget exhausted: remaining lanes report MaxIterations, like serial.
+    // Budget exhausted: the remaining lanes report MaxIterations.
     for (lane, &win) in lane2win.iter().enumerate() {
         out[win] = Some(finalize_pdhg_lane(
             &batch.problems()[win],
@@ -534,11 +584,11 @@ fn finalize_fista_lane(
     }
 }
 
-/// Lockstep batched [`solve_fista_workspace`](crate::solve_fista_workspace)
-/// with the same out-parameter and bit-identity contract as
+/// Batched [`solve_fista_workspace`](crate::solve_fista_workspace) with the
+/// same out-parameter and bit-identity contract as
 /// [`solve_pdhg_batch_workspace`]. The data-driven λ (when
 /// [`FistaOptions::lambda`] is `None`) is computed per lane from that
-/// window's own `‖Aᵀy‖∞`, exactly as the serial solver does.
+/// window's own `‖Aᵀy‖∞`.
 ///
 /// # Errors
 ///
@@ -550,6 +600,20 @@ pub fn solve_fista_batch_workspace(
     observers: &mut [&mut dyn IterationObserver],
     ws: &mut SolverWorkspace,
     out: &mut Vec<Option<RecoveryResult>>,
+) -> Result<(), SolverError> {
+    out.clear();
+    out.resize_with(batch.len(), || None);
+    fista_lanes(batch, options, observers, ws, out)
+}
+
+/// The FISTA iteration loop behind [`solve_fista_batch_workspace`] and
+/// [`solve_fista_workspace`](crate::solve_fista_workspace).
+pub(crate) fn fista_lanes(
+    batch: &BatchProblem<'_, '_>,
+    options: &FistaOptions,
+    observers: &mut [&mut dyn IterationObserver],
+    ws: &mut SolverWorkspace,
+    out: &mut [Option<RecoveryResult>],
 ) -> Result<(), SolverError> {
     let started = Instant::now();
     if options.max_iterations == 0 {
@@ -573,8 +637,6 @@ pub fn solve_fista_batch_workspace(
         }
     }
     check_observers(observers, batch.len())?;
-    out.clear();
-    out.resize_with(batch.len(), || None);
     let Some(first) = batch.problems().first() else {
         return Ok(());
     };
@@ -603,7 +665,7 @@ pub fn solve_fista_batch_workspace(
     let mut res = ws.acquire_panel(m, k0);
     let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::panel_scratch_len(n, k0));
     let mut op_scratch = ws.acquire(a.batch_scratch_len(k0));
-    // Serial-shape finalisation scratch.
+    // One-window finalisation scratch.
     let mut fin_coeffs = ws.acquire(n);
     let mut fin_ax = ws.acquire(m);
     let mut fin_dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
@@ -624,7 +686,7 @@ pub fn solve_fista_batch_workspace(
             simd::scatter_lane(wc, k0, lane, &mut weight_panel);
         }
     }
-    // Per-lane λ from Aᵀy, exactly like the serial data-driven scale.
+    // Per-lane data-driven λ from that window's Aᵀy.
     a.apply_adjoint_batch_into(&y_panel, k0, &mut sig_tmp, &mut op_scratch);
     dwt.forward_panel_into(&sig_tmp, k0, &mut aty, &mut dwt_scratch)
         .expect("length validated");
@@ -647,7 +709,7 @@ pub fn solve_fista_batch_workspace(
         dwt.inverse_panel_into(&momentum[..nk], k, &mut sig_tmp[..nk], &mut dwt_scratch)
             .expect("length validated");
         a.apply_batch_into(&sig_tmp[..nk], k, &mut res[..mk], &mut op_scratch);
-        // `r − 1.0·y` is IEEE-identical to the serial `r −= y`.
+        // `r − 1.0·y` is IEEE-identical to `r −= y`.
         simd::sub_scaled(1.0, &y_panel[..mk], &mut res[..mk]);
         a.apply_adjoint_batch_into(&res[..mk], k, &mut sig_tmp[..nk], &mut op_scratch);
         dwt.forward_panel_into(&sig_tmp[..nk], k, &mut grad[..nk], &mut dwt_scratch)
@@ -844,16 +906,16 @@ fn finalize_iht_lane(
     }
 }
 
-/// Lockstep batched [`solve_iht_workspace`](crate::solve_iht_workspace):
-/// iterative hard thresholding over K measurement windows of one explicit
-/// `A = ΦΨ` matrix, with the same out-parameter and bit-identity contract as
+/// Batched [`solve_iht_workspace`](crate::solve_iht_workspace): iterative
+/// hard thresholding over K measurement windows of one explicit `A = ΦΨ`
+/// matrix, with the same out-parameter and bit-identity contract as
 /// [`solve_pdhg_batch_workspace`]. The returned signals hold coefficient
-/// vectors, like the serial greedy solvers.
+/// vectors, like the other greedy solvers.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_iht_workspace`] (validated per window), plus
-/// an observer-count mismatch.
+/// Same conditions as [`solve_iht_workspace`](crate::solve_iht_workspace)
+/// (validated per window), plus an observer-count mismatch.
 pub fn solve_iht_batch_workspace(
     a: &Matrix,
     measurements: &[&[f64]],
@@ -861,6 +923,21 @@ pub fn solve_iht_batch_workspace(
     observers: &mut [&mut dyn IterationObserver],
     ws: &mut SolverWorkspace,
     out: &mut Vec<Option<RecoveryResult>>,
+) -> Result<(), SolverError> {
+    out.clear();
+    out.resize_with(measurements.len(), || None);
+    iht_lanes(a, measurements, options, observers, ws, out)
+}
+
+/// The IHT iteration loop behind [`solve_iht_batch_workspace`] and
+/// [`solve_iht_workspace`](crate::solve_iht_workspace).
+pub(crate) fn iht_lanes(
+    a: &Matrix,
+    measurements: &[&[f64]],
+    options: &GreedyOptions,
+    observers: &mut [&mut dyn IterationObserver],
+    ws: &mut SolverWorkspace,
+    out: &mut [Option<RecoveryResult>],
 ) -> Result<(), SolverError> {
     let started = Instant::now();
     for y in measurements {
@@ -888,8 +965,6 @@ pub fn solve_iht_batch_workspace(
             1.0 / (norm * norm).max(1e-12)
         }
     };
-    out.clear();
-    out.resize_with(measurements.len(), || None);
     if measurements.is_empty() {
         return Ok(());
     }
@@ -902,7 +977,7 @@ pub fn solve_iht_batch_workspace(
     // Persistent panels.
     let mut alpha = ws.acquire_panel(n, k0);
     let mut y_panel = ws.acquire_panel(m, k0);
-    // Transient panels and serial-shape scratch.
+    // Transient panels and one-window scratch.
     let mut ax = ws.acquire_panel(m, k0);
     let mut residual = ws.acquire_panel(m, k0);
     let mut grad = ws.acquire_panel(n, k0);
@@ -930,10 +1005,10 @@ pub fn solve_iht_batch_workspace(
         matvec_panel(a, &alpha[..nk], k, &mut ax[..mk]);
         residual_panel(&y_panel[..mk], &ax[..mk], &mut residual[..mk]);
 
-        // The serial solver breaks on a small residual before the gradient
-        // step: retire those lanes now, then recompute the residual panel at
-        // the reduced stride for the survivors (identical values — only the
-        // layout changed).
+        // A small residual stops a window before its gradient step: retire
+        // those lanes now, then recompute the residual panel at the reduced
+        // stride for the survivors (identical values — only the layout
+        // changed).
         retire.clear();
         for lane in 0..k {
             if simd::norm2_lane(&residual[..mk], k, lane, m) <= options.residual_tolerance {
@@ -973,8 +1048,8 @@ pub fn solve_iht_batch_workspace(
         }
         let (nk, mk) = (n * k, m * k);
 
-        // Gradient: grad = Aᵀ·residual, row-accumulated like the serial
-        // transpose matvec.
+        // Gradient: grad = Aᵀ·residual, row-accumulated like
+        // `Matrix::matvec_transpose_into`.
         grad[..nk].fill(0.0);
         for i in 0..m {
             simd::rank1_lanes(&residual[i * k..(i + 1) * k], a.row(i), k, &mut grad[..nk]);
@@ -1083,13 +1158,17 @@ pub fn solve_iht_batch_workspace(
     Ok(())
 }
 
-/// Lockstep batched
-/// [`solve_reweighted_workspace`](crate::solve_reweighted_workspace):
+/// Batched [`solve_reweighted_workspace`](crate::solve_reweighted_workspace):
 /// iteratively-reweighted ℓ₁ where every reweighting round runs **one**
 /// batched PDHG solve over the windows still active (a window leaves the
-/// round rotation only when its observer aborts, exactly like the serial
-/// outer loop). Per window, results and forwarded iteration events are
-/// bit-identical to the serial solve.
+/// round rotation only when its observer aborts). Per window, results and
+/// forwarded iteration events are bit-identical to solving the window
+/// alone.
+///
+/// Inner PDHG events are forwarded with iteration numbers accumulated
+/// across rounds, and each window gets one unified completion trace
+/// (solver `"reweighted"`, stop reason from its final round); the
+/// per-round PDHG traces are suppressed.
 ///
 /// The outer loop allocates per round (round-problem marshalling); the hot
 /// inner iterations are the allocation-free batched PDHG.
@@ -1105,6 +1184,20 @@ pub fn solve_reweighted_batch_workspace(
     ws: &mut SolverWorkspace,
     out: &mut Vec<Option<RecoveryResult>>,
 ) -> Result<(), SolverError> {
+    out.clear();
+    out.resize_with(batch.len(), || None);
+    reweighted_lanes(batch, options, observers, ws, out)
+}
+
+/// The reweighting loop behind [`solve_reweighted_batch_workspace`] and
+/// [`solve_reweighted_workspace`](crate::solve_reweighted_workspace).
+pub(crate) fn reweighted_lanes(
+    batch: &BatchProblem<'_, '_>,
+    options: &ReweightedOptions,
+    observers: &mut [&mut dyn IterationObserver],
+    ws: &mut SolverWorkspace,
+    out: &mut [Option<RecoveryResult>],
+) -> Result<(), SolverError> {
     let started = Instant::now();
     if options.outer_iterations == 0 {
         return Err(SolverError::BadParameter {
@@ -1119,8 +1212,6 @@ pub fn solve_reweighted_batch_workspace(
         });
     }
     check_observers(observers, batch.len())?;
-    out.clear();
-    out.resize_with(batch.len(), || None);
     let Some(first) = batch.problems().first() else {
         return Ok(());
     };
@@ -1291,27 +1382,27 @@ mod tests {
             .collect()
     }
 
-    fn assert_result_bits(serial: &RecoveryResult, batch: &RecoveryResult, label: &str) {
-        assert_eq!(serial.iterations, batch.iterations, "{label}: iterations");
-        assert_eq!(serial.converged, batch.converged, "{label}: converged");
+    fn assert_result_bits(alone: &RecoveryResult, batch: &RecoveryResult, label: &str) {
+        assert_eq!(alone.iterations, batch.iterations, "{label}: iterations");
+        assert_eq!(alone.converged, batch.converged, "{label}: converged");
         assert_eq!(
-            serial.residual.to_bits(),
+            alone.residual.to_bits(),
             batch.residual.to_bits(),
             "{label}: residual bits"
         );
         assert_eq!(
-            serial.objective.to_bits(),
+            alone.objective.to_bits(),
             batch.objective.to_bits(),
             "{label}: objective bits"
         );
-        assert_eq!(serial.signal.len(), batch.signal.len(), "{label}: length");
-        for (i, (a, b)) in serial.signal.iter().zip(&batch.signal).enumerate() {
+        assert_eq!(alone.signal.len(), batch.signal.len(), "{label}: length");
+        for (i, (a, b)) in alone.signal.iter().zip(&batch.signal).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "{label}: signal[{i}] {a} vs {b}");
         }
     }
 
-    fn assert_observer_bits(serial: &RecordingObserver, batch: &RecordingObserver, label: &str) {
-        let se = serial.events();
+    fn assert_observer_bits(alone: &RecordingObserver, batch: &RecordingObserver, label: &str) {
+        let se = alone.events();
         let be = batch.events();
         assert_eq!(se.len(), be.len(), "{label}: event count");
         for (i, (s, b)) in se.iter().zip(be).enumerate() {
@@ -1328,7 +1419,7 @@ mod tests {
             );
             assert_eq!(s.step_size, b.step_size, "{label}: event[{i}] step");
         }
-        let st = serial.trace().expect("serial trace");
+        let st = alone.trace().expect("one-window trace");
         let bt = batch.trace().expect("batch trace");
         assert_eq!(st.solver, bt.solver, "{label}: trace solver");
         assert_eq!(st.iterations, bt.iterations, "{label}: trace iterations");
@@ -1548,7 +1639,7 @@ mod tests {
         };
 
         let mut ws = SolverWorkspace::new();
-        let serial: Vec<RecoveryResult> = problems
+        let alone: Vec<RecoveryResult> = problems
             .iter()
             .map(|p| {
                 let r = solve_pdhg_workspace(p, &options, &mut NoopObserver, &mut ws).unwrap();
@@ -1560,7 +1651,7 @@ mod tests {
             .collect();
         if k >= 3 {
             assert!(
-                serial.iter().any(|r| r.iterations != serial[0].iterations),
+                alone.iter().any(|r| r.iterations != alone[0].iterations),
                 "{label}: fixture too homogeneous — stopping masks unexercised"
             );
         }
@@ -1573,14 +1664,14 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         solve_pdhg_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
-        for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
+        for (w, (s, b)) in alone.iter().zip(&out).enumerate() {
             let b = b.as_ref().expect("filled");
             assert_result_bits(s, b, &format!("{label} k={k} w={w}"));
         }
     }
 
     #[test]
-    fn pdhg_batch_bit_identical_to_serial_all_k() {
+    fn pdhg_batch_bit_identical_to_k1_all_k() {
         for_each_tier(|tier| {
             for k in [1, 2, 3, 4, 7, 8] {
                 run_pdhg_equivalence(false, false, k, &format!("pdhg/{tier}"));
@@ -1598,7 +1689,7 @@ mod tests {
     }
 
     #[test]
-    fn pdhg_batch_observer_stream_matches_serial() {
+    fn pdhg_batch_observer_stream_matches_k1() {
         let _guard = tier_lock();
         set_override(None);
         let k = 4;
@@ -1610,7 +1701,7 @@ mod tests {
             ..PdhgOptions::default()
         };
         let mut ws = SolverWorkspace::new();
-        let serial_obs: Vec<RecordingObserver> = problems
+        let alone_obs: Vec<RecordingObserver> = problems
             .iter()
             .map(|p| {
                 let mut rec = RecordingObserver::new();
@@ -1629,13 +1720,13 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         solve_pdhg_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
-        for (w, (s, b)) in serial_obs.iter().zip(&batch_obs).enumerate() {
+        for (w, (s, b)) in alone_obs.iter().zip(&batch_obs).enumerate() {
             assert_observer_bits(s, b, &format!("pdhg-obs w={w}"));
         }
     }
 
     #[test]
-    fn fista_batch_bit_identical_to_serial() {
+    fn fista_batch_bit_identical_to_k1() {
         for_each_tier(|tier| {
             for (lambda, weighted, k) in [
                 (None, false, 1),
@@ -1652,7 +1743,7 @@ mod tests {
                     lambda,
                 };
                 let mut ws = SolverWorkspace::new();
-                let serial: Vec<RecoveryResult> = problems
+                let alone: Vec<RecoveryResult> = problems
                     .iter()
                     .map(|p| {
                         let r =
@@ -1671,7 +1762,7 @@ mod tests {
                     .collect();
                 let mut out = Vec::new();
                 solve_fista_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out).unwrap();
-                for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
+                for (w, (s, b)) in alone.iter().zip(&out).enumerate() {
                     let b = b.as_ref().expect("filled");
                     assert_result_bits(s, b, &format!("fista/{tier} k={k} w={w}"));
                 }
@@ -1680,7 +1771,7 @@ mod tests {
     }
 
     #[test]
-    fn iht_batch_bit_identical_to_serial() {
+    fn iht_batch_bit_identical_to_k1() {
         for_each_tier(|tier| {
             for k in [1, 3, 6] {
                 let n = 64;
@@ -1703,7 +1794,7 @@ mod tests {
                     ..GreedyOptions::default()
                 };
                 let mut ws = SolverWorkspace::new();
-                let serial: Vec<RecoveryResult> = ys
+                let alone: Vec<RecoveryResult> = ys
                     .iter()
                     .map(|y| {
                         let r = solve_iht_workspace(&a, y, &options, &mut NoopObserver, &mut ws)
@@ -1723,7 +1814,7 @@ mod tests {
                 let mut out = Vec::new();
                 solve_iht_batch_workspace(&a, &y_refs, &options, &mut obs, &mut ws, &mut out)
                     .unwrap();
-                for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
+                for (w, (s, b)) in alone.iter().zip(&out).enumerate() {
                     let b = b.as_ref().expect("filled");
                     assert_result_bits(s, b, &format!("iht/{tier} k={k} w={w}"));
                 }
@@ -1732,7 +1823,7 @@ mod tests {
     }
 
     #[test]
-    fn reweighted_batch_bit_identical_to_serial() {
+    fn reweighted_batch_bit_identical_to_k1() {
         for_each_tier(|tier| {
             let k = 4;
             let fixture = PdhgFixture::new(64, 28, k, 47);
@@ -1747,7 +1838,7 @@ mod tests {
                 },
             };
             let mut ws = SolverWorkspace::new();
-            let serial: Vec<RecoveryResult> = problems
+            let alone: Vec<RecoveryResult> = problems
                 .iter()
                 .map(|p| {
                     let r = solve_reweighted_workspace(p, &options, &mut NoopObserver, &mut ws)
@@ -1767,7 +1858,7 @@ mod tests {
             let mut out = Vec::new();
             solve_reweighted_batch_workspace(&batch, &options, &mut obs, &mut ws, &mut out)
                 .unwrap();
-            for (w, (s, b)) in serial.iter().zip(&out).enumerate() {
+            for (w, (s, b)) in alone.iter().zip(&out).enumerate() {
                 let b = b.as_ref().expect("filled");
                 assert_result_bits(s, b, &format!("reweighted/{tier} w={w}"));
             }

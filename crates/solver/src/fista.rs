@@ -1,8 +1,6 @@
-use crate::prox;
-use crate::{BpdnProblem, RecoveryResult, SolverError, SolverWorkspace};
-use hybridcs_linalg::vector;
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
-use std::time::Instant;
+use crate::batch;
+use crate::{BatchProblem, BpdnProblem, RecoveryResult, SolverError, SolverWorkspace};
+use hybridcs_obs::{IterationObserver, NoopObserver};
 
 /// Options for [`solve_fista`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,36 +46,30 @@ pub fn solve_fista(
     problem: &BpdnProblem<'_>,
     options: &FistaOptions,
 ) -> Result<RecoveryResult, SolverError> {
-    solve_fista_observed(problem, options, &mut NoopObserver)
+    solve_fista_workspace(
+        problem,
+        options,
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
+    )
 }
 
-/// [`solve_fista`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every iteration emits an
-/// [`IterationEvent`] carrying the LASSO objective
-/// `½‖Aα − y‖² + λ‖α‖₁` and the fidelity residual at the new iterate
-/// (one extra `A`-application per iteration — skipped entirely for a
-/// no-op observer), and completion emits a [`ConvergenceTrace`].
+/// [`solve_fista`] with an [`IterationObserver`] hook and every buffer drawn
+/// from a caller-owned [`SolverWorkspace`]: once the workspace has been
+/// warmed by one solve of each size, the solve performs **zero heap
+/// allocations**.
 ///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_fista`].
+/// When the observer is [active](IterationObserver::active), every
+/// iteration emits an [`IterationEvent`](hybridcs_obs::IterationEvent)
+/// carrying the LASSO objective `½‖Aα − y‖² + λ‖α‖₁` and the fidelity
+/// residual at the new iterate (one extra `A`-application per iteration —
+/// skipped entirely for a no-op observer), and completion emits a
+/// [`ConvergenceTrace`](hybridcs_obs::ConvergenceTrace). The observer never
+/// changes the arithmetic.
 ///
-/// # Errors
-///
-/// Same conditions as [`solve_fista`].
-pub fn solve_fista_observed(
-    problem: &BpdnProblem<'_>,
-    options: &FistaOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_fista_workspace(problem, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_fista_observed`] with every per-iteration buffer drawn from a
-/// caller-owned [`SolverWorkspace`]: once the workspace has been warmed by
-/// one solve of each size, the inner loop performs **zero heap allocations**.
-/// Results are bit-identical to [`solve_fista`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
+/// This is the one-window (K = 1) case of
+/// [`solve_fista_batch_workspace`](crate::solve_fista_batch_workspace). The
+/// returned `signal` is a workspace buffer; pass it back via
 /// [`SolverWorkspace::release`] to keep the pool in steady state.
 ///
 /// # Errors
@@ -89,183 +81,10 @@ pub fn solve_fista_workspace(
     observer: &mut dyn IterationObserver,
     ws: &mut SolverWorkspace,
 ) -> Result<RecoveryResult, SolverError> {
-    let started = Instant::now();
-    problem.validate()?;
-    if options.max_iterations == 0 {
-        return Err(SolverError::BadParameter {
-            name: "max_iterations",
-            value: 0.0,
-        });
-    }
-    if !(options.tolerance > 0.0 && options.tolerance.is_finite()) {
-        return Err(SolverError::BadParameter {
-            name: "tolerance",
-            value: options.tolerance,
-        });
-    }
-
-    let n = problem.signal_len();
-    let m = problem.measurement_len();
-    let a = problem.sensing;
-    let dwt = problem.dwt;
-    let y = problem.measurements;
-
-    // Lipschitz constant of the gradient: L = ‖ΦΨ‖² = ‖Φ‖² (Ψ orthonormal).
-    let norm_a = a.norm_est().max(1e-12);
-    let l = norm_a * norm_a;
-    let step = 1.0 / (1.01 * l);
-
-    // Hot-path buffers; `sig_tmp` carries the signal-domain intermediate of
-    // both composed applications A = Φ∘Ψ and Aᵀ = Ψᵀ∘Φᵀ (uses never overlap).
-    let mut sig_tmp = ws.acquire(n);
-    let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
-    let mut op_scratch = ws.acquire(a.scratch_len());
-    let mut aty = ws.acquire(n);
-    let mut grad = ws.acquire(n);
-    let mut alpha = ws.acquire(n);
-    let mut momentum = ws.acquire(n);
-    let mut alpha_new = ws.acquire(n);
-    let mut res = ws.acquire(m);
-
-    a.apply_adjoint_into(y, &mut sig_tmp, &mut op_scratch);
-    dwt.forward_into(&sig_tmp, &mut aty, &mut dwt_scratch)
-        .expect("length validated");
-    let lambda = match options.lambda {
-        Some(l) => {
-            if !(l > 0.0 && l.is_finite()) {
-                for buf in [
-                    sig_tmp,
-                    dwt_scratch,
-                    op_scratch,
-                    aty,
-                    grad,
-                    alpha,
-                    momentum,
-                    alpha_new,
-                    res,
-                ] {
-                    ws.release(buf);
-                }
-                return Err(SolverError::BadParameter {
-                    name: "lambda",
-                    value: l,
-                });
-            }
-            l
-        }
-        None => 0.1 * vector::norm_inf(&aty).max(1e-12),
-    };
-
-    let mut t = 1.0_f64;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut aborted = false;
-
-    for iter in 1..=options.max_iterations {
-        iterations = iter;
-        // Gradient step at the momentum point: res = A·momentum − y.
-        dwt.inverse_into(&momentum, &mut sig_tmp, &mut dwt_scratch)
-            .expect("length validated");
-        a.apply_into(&sig_tmp, &mut res, &mut op_scratch);
-        for (r, &yi) in res.iter_mut().zip(y) {
-            *r -= yi;
-        }
-        a.apply_adjoint_into(&res, &mut sig_tmp, &mut op_scratch);
-        dwt.forward_into(&sig_tmp, &mut grad, &mut dwt_scratch)
-            .expect("length validated");
-        alpha_new.copy_from_slice(&momentum);
-        vector::axpy(-step, &grad, &mut alpha_new);
-        match problem.coefficient_weights {
-            Some(weights) => prox::soft_threshold_weighted(&mut alpha_new, step * lambda, weights),
-            None => prox::soft_threshold_slice(&mut alpha_new, step * lambda),
-        }
-
-        // Nesterov momentum.
-        let t_new = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-        let beta = (t - 1.0) / t_new;
-        for i in 0..n {
-            momentum[i] = alpha_new[i] + beta * (alpha_new[i] - alpha[i]);
-        }
-        let change = vector::dist2(&alpha_new, &alpha);
-        let scale = vector::norm2(&alpha_new).max(1e-12);
-        std::mem::swap(&mut alpha, &mut alpha_new);
-        t = t_new;
-        if observer.active() {
-            // One extra A-application to report the objective at the new
-            // iterate; skipped entirely on the no-op path.
-            dwt.inverse_into(&alpha, &mut sig_tmp, &mut dwt_scratch)
-                .expect("length validated");
-            a.apply_into(&sig_tmp, &mut res, &mut op_scratch);
-            for (r, &yi) in res.iter_mut().zip(y) {
-                *r -= yi;
-            }
-            let fid = vector::norm2(&res);
-            let l1 = match problem.coefficient_weights {
-                Some(weights) => alpha
-                    .iter()
-                    .zip(weights)
-                    .map(|(a, w)| w * a.abs())
-                    .sum::<f64>(),
-                None => vector::norm1(&alpha),
-            };
-            observer.on_iteration(&IterationEvent {
-                iteration: iter,
-                objective: 0.5 * fid * fid + lambda * l1,
-                residual: fid,
-                step_size: Some(step),
-            });
-        }
-        if observer.should_abort() {
-            aborted = true;
-            break;
-        }
-        if change <= options.tolerance * scale {
-            converged = true;
-            break;
-        }
-    }
-
-    let mut signal = ws.acquire(n);
-    dwt.inverse_into(&alpha, &mut signal, &mut dwt_scratch)
-        .expect("length validated");
-    a.apply_into(&signal, &mut res, &mut op_scratch);
-    let residual = vector::dist2(&res, y);
-    let objective = vector::norm1(&alpha);
-    for buf in [
-        sig_tmp,
-        dwt_scratch,
-        op_scratch,
-        aty,
-        grad,
-        alpha,
-        momentum,
-        alpha_new,
-        res,
-    ] {
-        ws.release(buf);
-    }
-    observer.on_complete(&ConvergenceTrace {
-        solver: "fista",
-        iterations,
-        stop_reason: if aborted {
-            StopReason::Aborted
-        } else if converged {
-            StopReason::Converged
-        } else {
-            StopReason::MaxIterations
-        },
-        wall_time: started.elapsed(),
-        converged,
-        final_objective: objective,
-        final_residual: residual,
-    });
-    Ok(RecoveryResult {
-        residual,
-        objective,
-        signal,
-        iterations,
-        converged,
-    })
+    let batch = BatchProblem::new(std::slice::from_ref(problem))?;
+    let mut slot = [None];
+    batch::fista_lanes(&batch, options, &mut [observer], ws, &mut slot)?;
+    Ok(slot[0].take().expect("batch solve fills every window"))
 }
 
 #[cfg(test)]
@@ -273,7 +92,7 @@ mod tests {
     use super::*;
     use crate::DenseOperator;
     use hybridcs_dsp::{Dwt, Wavelet};
-    use hybridcs_linalg::Matrix;
+    use hybridcs_linalg::{vector, Matrix};
 
     fn bernoulli_like(m: usize, n: usize, seed: u64) -> Matrix {
         let mut state = seed;

@@ -372,38 +372,31 @@ pub fn solve_iht(
     y: &[f64],
     options: &GreedyOptions,
 ) -> Result<RecoveryResult, SolverError> {
-    solve_iht_observed(a, y, options, &mut NoopObserver)
+    solve_iht_workspace(
+        a,
+        y,
+        options,
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
+    )
 }
 
-/// [`solve_iht`] with an [`IterationObserver`] hook: when the observer is
-/// [active](IterationObserver::active), every hard-thresholding step emits
-/// an [`IterationEvent`] (objective = `‖α‖₁`, residual recomputed at the
-/// new iterate — one extra matvec, skipped on the no-op path; step size =
-/// μ), and completion emits a [`ConvergenceTrace`].
-/// [`StopReason::Stagnated`] reports a vanishing update.
+/// [`solve_iht`] with an [`IterationObserver`] hook and every buffer —
+/// including the support-index scratch for the hard threshold — drawn from
+/// a caller-owned [`SolverWorkspace`]: once the workspace has been warmed
+/// by one solve of each size, the solve performs **zero heap
+/// allocations**.
 ///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_iht`].
+/// When the observer is [active](IterationObserver::active), every
+/// hard-thresholding step emits an [`IterationEvent`] (objective = `‖α‖₁`,
+/// residual recomputed at the new iterate — one extra matvec, skipped on
+/// the no-op path; step size = μ), and completion emits a
+/// [`ConvergenceTrace`]. [`StopReason::Stagnated`] reports a vanishing
+/// update. The observer never changes the arithmetic.
 ///
-/// # Errors
-///
-/// Same conditions as [`solve_iht`].
-pub fn solve_iht_observed(
-    a: &Matrix,
-    y: &[f64],
-    options: &GreedyOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_iht_workspace(a, y, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_iht_observed`] with every per-iteration buffer — including the
-/// support-index scratch for the hard threshold — drawn from a caller-owned
-/// [`SolverWorkspace`]: once the workspace has been warmed by one solve of
-/// each size, the inner loop performs **zero heap allocations**. Results are
-/// bit-identical to [`solve_iht`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
+/// This is the one-window (K = 1) case of
+/// [`solve_iht_batch_workspace`](crate::solve_iht_batch_workspace). The
+/// returned `signal` is a workspace buffer; pass it back via
 /// [`SolverWorkspace::release`] to keep the pool in steady state.
 ///
 /// # Errors
@@ -416,117 +409,9 @@ pub fn solve_iht_workspace(
     observer: &mut dyn IterationObserver,
     ws: &mut SolverWorkspace,
 ) -> Result<RecoveryResult, SolverError> {
-    let started = Instant::now();
-    validate(a, y, options)?;
-    let n = a.ncols();
-    let m = a.nrows();
-    let step = match options.step {
-        Some(mu) => {
-            if !(mu > 0.0 && mu.is_finite()) {
-                return Err(SolverError::BadParameter {
-                    name: "step",
-                    value: mu,
-                });
-            }
-            mu
-        }
-        None => {
-            let (norm, _) = hybridcs_linalg::operator_norm_est(
-                n,
-                m,
-                |x, out| a.matvec_into(x, out),
-                |v, out| a.matvec_transpose_into(v, out),
-                hybridcs_linalg::PowerIterationOptions::default(),
-            );
-            1.0 / (norm * norm).max(1e-12)
-        }
-    };
-
-    let s = options.max_sparsity;
-    let mut alpha = ws.acquire(n);
-    let mut ax = ws.acquire(m);
-    let mut residual = ws.acquire(m);
-    let mut grad = ws.acquire(n);
-    let mut next = ws.acquire(n);
-    let mut thresholded = ws.acquire(n);
-    let mut keep = ws.acquire_indices(n);
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut stop = StopReason::MaxIterations;
-
-    for iter in 1..=options.max_iterations {
-        iterations = iter;
-        a.matvec_into(&alpha, &mut ax);
-        for (r, (&yi, &axi)) in residual.iter_mut().zip(y.iter().zip(&ax)) {
-            *r = yi - axi;
-        }
-        if vector::norm2(&residual) <= options.residual_tolerance {
-            converged = true;
-            stop = StopReason::Converged;
-            break;
-        }
-        a.matvec_transpose_into(&residual, &mut grad);
-        next.copy_from_slice(&alpha);
-        vector::axpy(step, &grad, &mut next);
-        // Hard threshold to the s largest entries.
-        vector::top_k_abs_indices_into(&next, s, &mut keep);
-        thresholded.fill(0.0);
-        for &i in &keep {
-            thresholded[i] = next[i];
-        }
-        let change = vector::dist2(&thresholded, &alpha);
-        std::mem::swap(&mut alpha, &mut thresholded);
-        if observer.active() {
-            // One extra matvec for the residual at the new iterate; skipped
-            // entirely on the no-op path.
-            a.matvec_into(&alpha, &mut ax);
-            for (r, (&yi, &axi)) in residual.iter_mut().zip(y.iter().zip(&ax)) {
-                *r = yi - axi;
-            }
-            observer.on_iteration(&IterationEvent {
-                iteration: iter,
-                objective: vector::norm1(&alpha),
-                residual: vector::norm2(&residual),
-                step_size: Some(step),
-            });
-        }
-        if observer.should_abort() {
-            stop = StopReason::Aborted;
-            break;
-        }
-        if change <= 1e-10 * vector::norm2(&alpha).max(1.0) {
-            converged = true;
-            stop = StopReason::Stagnated;
-            break;
-        }
-    }
-
-    a.matvec_into(&alpha, &mut ax);
-    for (r, (&yi, &axi)) in residual.iter_mut().zip(y.iter().zip(&ax)) {
-        *r = yi - axi;
-    }
-    let res_norm = vector::norm2(&residual);
-    let objective = vector::norm1(&alpha);
-    for buf in [ax, residual, grad, next, thresholded] {
-        ws.release(buf);
-    }
-    ws.release_indices(keep);
-    observer.on_complete(&ConvergenceTrace {
-        solver: "iht",
-        iterations,
-        stop_reason: stop,
-        wall_time: started.elapsed(),
-        converged,
-        final_objective: objective,
-        final_residual: res_norm,
-    });
-    Ok(RecoveryResult {
-        objective,
-        residual: res_norm,
-        signal: alpha,
-        iterations,
-        converged,
-    })
+    let mut slot = [None];
+    crate::batch::iht_lanes(a, &[y], options, &mut [observer], ws, &mut slot)?;
+    Ok(slot[0].take().expect("batch solve fills every window"))
 }
 
 #[cfg(test)]

@@ -25,6 +25,26 @@
 //! `Ψ` (from [`hybridcs_dsp`]) keeps every proximal step cheap:
 //! `prox(τ‖Ψᵀ·‖₁)(v) = Ψ·soft(Ψᵀv, τ)` costs two fast transforms.
 //!
+//! # Entry points
+//!
+//! PDHG, FISTA, IHT and reweighted ℓ₁ ([`solve_reweighted`]) each have
+//! one iteration loop, written over K windows in lockstep, and three entry
+//! points into it (IHT takes an explicit matrix and measurement vectors in
+//! place of `problem`):
+//!
+//! * `solve_X(problem, options)` — one window, no observer, a fresh
+//!   workspace;
+//! * `solve_X_workspace(problem, options, observer, ws)` — one window with
+//!   an [`IterationObserver`] and a reused [`SolverWorkspace`] (the decode
+//!   hot path);
+//! * `solve_X_batch_workspace(batch, options, observers, ws, out)` — K
+//!   same-shape windows of a [`BatchProblem`] in lockstep.
+//!
+//! The first two are the K = 1 case of the third, so a window's result bits
+//! do not depend on which entry point or batch it went through. ADMM, OMP
+//! and CoSaMP are one-window solvers with `solve_X` / `solve_X_observed`
+//! entry points (plus [`solve_admm_workspace`]).
+//!
 //! # Example
 //!
 //! ```
@@ -79,23 +99,21 @@ pub use batch::{
     solve_reweighted_batch_workspace, BatchProblem,
 };
 pub use error::SolverError;
-pub use fista::{solve_fista, solve_fista_observed, solve_fista_workspace, FistaOptions};
+pub use fista::{solve_fista, solve_fista_workspace, FistaOptions};
 pub use greedy::{
-    solve_cosamp, solve_cosamp_observed, solve_iht, solve_iht_observed, solve_iht_workspace,
-    solve_omp, solve_omp_observed, GreedyOptions,
+    solve_cosamp, solve_cosamp_observed, solve_iht, solve_iht_workspace, solve_omp,
+    solve_omp_observed, GreedyOptions,
 };
 pub use operator::{ComposedOperator, DenseOperator, LinearOperator, SynthesisOperator};
-pub use pdhg::{solve_pdhg, solve_pdhg_observed, solve_pdhg_workspace, PdhgOptions};
+pub use pdhg::{solve_pdhg, solve_pdhg_workspace, PdhgOptions};
 pub use problem::{BpdnProblem, RecoveryResult};
-pub use reweighted::{
-    solve_reweighted, solve_reweighted_observed, solve_reweighted_workspace, ReweightedOptions,
-};
+pub use reweighted::{solve_reweighted, solve_reweighted_workspace, ReweightedOptions};
 pub use watchdog::{SolverWatchdog, WatchdogConfig, WatchdogTrip};
 pub use weights::band_weights;
 pub use workspace::SolverWorkspace;
 
 // Observability vocabulary re-exported so downstream crates can drive the
-// `*_observed` entry points without depending on `hybridcs-obs` directly.
+// observer-taking entry points without depending on `hybridcs-obs` directly.
 pub use hybridcs_obs::{
     ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, RecordingObserver,
     StopReason,

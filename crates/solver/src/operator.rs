@@ -74,8 +74,9 @@ pub trait LinearOperator {
     /// `out_panel`. The contract every implementation must keep: each
     /// lane's output is **bit-identical** to [`LinearOperator::apply_into`]
     /// on the gathered lane — the batched solvers rely on this for their
-    /// batch-equals-serial guarantee. The default loops over lanes through
-    /// the serial path, which satisfies the contract trivially.
+    /// guarantee that a window's result does not depend on its batch. The
+    /// default loops over lanes through the one-vector path, which
+    /// satisfies the contract trivially.
     ///
     /// # Panics
     ///

@@ -1,8 +1,6 @@
-use crate::{
-    solve_pdhg_workspace, BpdnProblem, PdhgOptions, RecoveryResult, SolverError, SolverWorkspace,
-};
-use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver, NoopObserver, StopReason};
-use std::time::Instant;
+use crate::batch;
+use crate::{BatchProblem, BpdnProblem, PdhgOptions, RecoveryResult, SolverError, SolverWorkspace};
+use hybridcs_obs::{IterationObserver, NoopObserver};
 
 /// Options for [`solve_reweighted`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,71 +45,37 @@ impl Default for ReweightedOptions {
 /// # Example
 ///
 /// See `ablation_weighted_l1` and the crate tests; usage is identical to
-/// [`solve_pdhg`] with [`ReweightedOptions`].
+/// [`solve_pdhg`](crate::solve_pdhg) with [`ReweightedOptions`].
 pub fn solve_reweighted(
     problem: &BpdnProblem<'_>,
     options: &ReweightedOptions,
 ) -> Result<RecoveryResult, SolverError> {
-    solve_reweighted_observed(problem, options, &mut NoopObserver)
+    solve_reweighted_workspace(
+        problem,
+        options,
+        &mut NoopObserver,
+        &mut SolverWorkspace::new(),
+    )
 }
 
-/// Forwards inner-PDHG iteration events with a cumulative iteration offset
-/// so the outer trace counts monotonically across reweighting rounds, and
-/// swallows the per-round completion traces (the outer solve emits one
-/// unified `reweighted` trace instead).
-pub(crate) struct OffsetForward<'o> {
-    pub(crate) inner: &'o mut dyn IterationObserver,
-    pub(crate) offset: usize,
-}
-
-impl IterationObserver for OffsetForward<'_> {
-    fn active(&self) -> bool {
-        self.inner.active()
-    }
-
-    fn on_iteration(&mut self, event: &IterationEvent) {
-        self.inner.on_iteration(&IterationEvent {
-            iteration: self.offset + event.iteration,
-            ..*event
-        });
-    }
-
-    fn on_complete(&mut self, _trace: &ConvergenceTrace) {}
-
-    fn should_abort(&self) -> bool {
-        // Forwarded so a watchdog can stop the inner PDHG mid-round.
-        self.inner.should_abort()
-    }
-}
-
-/// [`solve_reweighted`] with an [`IterationObserver`] hook: inner PDHG
-/// iteration events are forwarded with iteration numbers accumulated
-/// across reweighting rounds, and one unified [`ConvergenceTrace`] (solver
-/// `"reweighted"`, stop reason from the final round) is emitted at the
-/// end — the per-round PDHG traces are suppressed.
+/// [`solve_reweighted`] with an [`IterationObserver`] hook and the inner
+/// PDHG buffers drawn from a caller-owned [`SolverWorkspace`].
 ///
-/// The observer never changes the arithmetic: results are bit-identical to
-/// [`solve_reweighted`].
+/// Inner PDHG iteration events are forwarded with iteration numbers
+/// accumulated across reweighting rounds, and one unified
+/// [`ConvergenceTrace`](hybridcs_obs::ConvergenceTrace) (solver
+/// `"reweighted"`, stop reason from the final round) is emitted at the end
+/// — the per-round PDHG traces are suppressed. The observer never changes
+/// the arithmetic.
 ///
-/// # Errors
-///
-/// Same conditions as [`solve_reweighted`].
-pub fn solve_reweighted_observed(
-    problem: &BpdnProblem<'_>,
-    options: &ReweightedOptions,
-    observer: &mut dyn IterationObserver,
-) -> Result<RecoveryResult, SolverError> {
-    solve_reweighted_workspace(problem, options, observer, &mut SolverWorkspace::new())
-}
-
-/// [`solve_reweighted_observed`] with every buffer — the inner PDHG state,
-/// the per-round coefficient scratch, and the weight vector — drawn from a
-/// caller-owned [`SolverWorkspace`]: once the workspace has been warmed, the
-/// reweighting rounds perform **zero heap allocations**. Results are
-/// bit-identical to [`solve_reweighted`].
-///
-/// The returned `signal` is a workspace buffer; pass it back via
-/// [`SolverWorkspace::release`] to keep the pool in steady state.
+/// This is the one-window (K = 1) case of
+/// [`solve_reweighted_batch_workspace`](crate::solve_reweighted_batch_workspace)
+/// and shares its allocation profile: the inner PDHG iterations are
+/// allocation-free on a warmed workspace, but each reweighting round
+/// allocates a little bookkeeping (the round's problem list, observer
+/// wrappers and weight vectors), so a reweighted solve is **not** zero-
+/// allocation. The returned `signal` is a workspace buffer; pass it back
+/// via [`SolverWorkspace::release`] to keep the pool in steady state.
 ///
 /// # Errors
 ///
@@ -122,92 +86,10 @@ pub fn solve_reweighted_workspace(
     observer: &mut dyn IterationObserver,
     ws: &mut SolverWorkspace,
 ) -> Result<RecoveryResult, SolverError> {
-    let started = Instant::now();
-    if options.outer_iterations == 0 {
-        return Err(SolverError::BadParameter {
-            name: "outer_iterations",
-            value: 0.0,
-        });
-    }
-    if !(options.epsilon_rel > 0.0 && options.epsilon_rel.is_finite()) {
-        return Err(SolverError::BadParameter {
-            name: "epsilon_rel",
-            value: options.epsilon_rel,
-        });
-    }
-    problem.validate()?;
-
-    let n = problem.signal_len();
-    let dwt = problem.dwt;
-    let mut dwt_scratch = ws.acquire(hybridcs_dsp::Dwt::scratch_len(n));
-    let mut coeffs = ws.acquire(n);
-    let mut weights_buf = ws.acquire(n);
-    let mut have_weights = false;
-    let mut total_iterations = 0;
-    let mut last: Option<RecoveryResult> = None;
-    let mut aborted = false;
-
-    for _round in 0..options.outer_iterations {
-        let round_problem = BpdnProblem {
-            sensing: problem.sensing,
-            dwt: problem.dwt,
-            measurements: problem.measurements,
-            sigma: problem.sigma,
-            box_bounds: problem.box_bounds,
-            coefficient_weights: if have_weights {
-                Some(weights_buf.as_slice())
-            } else {
-                problem.coefficient_weights
-            },
-        };
-        let mut forward = OffsetForward {
-            inner: observer,
-            offset: total_iterations,
-        };
-        let result = solve_pdhg_workspace(&round_problem, &options.inner, &mut forward, ws)?;
-        total_iterations += result.iterations;
-
-        // Next round's weights from this round's coefficients.
-        dwt.forward_into(&result.signal, &mut coeffs, &mut dwt_scratch)
-            .expect("length validated");
-        let max = coeffs.iter().fold(0.0_f64, |m, c| m.max(c.abs()));
-        let eps = (options.epsilon_rel * max).max(f64::MIN_POSITIVE);
-        for (w, c) in weights_buf.iter_mut().zip(&coeffs) {
-            *w = eps / (c.abs() + eps);
-        }
-        have_weights = true;
-        if let Some(prev) = last.take() {
-            ws.release(prev.signal);
-        }
-        last = Some(result);
-
-        if observer.should_abort() {
-            aborted = true;
-            break;
-        }
-    }
-    for buf in [dwt_scratch, coeffs, weights_buf] {
-        ws.release(buf);
-    }
-
-    let mut result = last.expect("outer_iterations >= 1");
-    result.iterations = total_iterations;
-    observer.on_complete(&ConvergenceTrace {
-        solver: "reweighted",
-        iterations: total_iterations,
-        stop_reason: if aborted {
-            StopReason::Aborted
-        } else if result.converged {
-            StopReason::Converged
-        } else {
-            StopReason::MaxIterations
-        },
-        wall_time: started.elapsed(),
-        converged: result.converged,
-        final_objective: result.objective,
-        final_residual: result.residual,
-    });
-    Ok(result)
+    let batch = BatchProblem::new(std::slice::from_ref(problem))?;
+    let mut slot = [None];
+    batch::reweighted_lanes(&batch, options, &mut [observer], ws, &mut slot)?;
+    Ok(slot[0].take().expect("batch solve fills every window"))
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //! no contraction — which makes each vector lane compute the *identical*
 //! IEEE-754 operation sequence as the scalar twin. The per-element results
 //! are therefore bit-identical across tiers, which is what lets the batched
-//! solvers promise bit-identical results to their serial counterparts
-//! regardless of the dispatch decision.
+//! solvers promise results that depend neither on the batch width nor on
+//! the dispatch decision.
 //!
 //! Per-lane thresholds follow the batch panel layout of
 //! [`hybridcs_linalg::simd`]: a panel stores element `i` of lane `l` at
@@ -42,6 +42,12 @@ pub fn soft_threshold_lanes(panel: &mut [f64], t: &[f64], k: usize) {
         0,
         "soft_threshold_lanes: panel not a multiple of k"
     );
+    // One lane is a plain vector with one threshold: the one-vector prox
+    // is the same element-wise operation without the per-row lane loop.
+    if k == 1 {
+        crate::prox::soft_threshold_slice(panel, t[0]);
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if simd_enabled() {
         // SAFETY: AVX2 availability is guaranteed by `simd_enabled()`.
@@ -79,6 +85,10 @@ pub fn soft_threshold_weighted_lanes(panel: &mut [f64], t: &[f64], w_panel: &[f6
         panel.len(),
         "soft_threshold_weighted_lanes: weight panel length mismatch"
     );
+    if k == 1 {
+        crate::prox::soft_threshold_weighted(panel, t[0], w_panel);
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if simd_enabled() {
         // SAFETY: AVX2 availability is guaranteed by `simd_enabled()`.
@@ -94,9 +104,9 @@ pub fn soft_threshold_weighted_lanes(panel: &mut [f64], t: &[f64], w_panel: &[f6
 /// Proximal gradient step `out[i] = x[i] − τ·(at_z1[i] + z2[i])`.
 ///
 /// This is the PDHG primal update written as one element-wise pass; the
-/// `z2` slice must be zero-filled when the problem has no box constraint so
-/// the arithmetic (`at + 0.0`) replicates the serial path exactly,
-/// including its signed-zero behaviour.
+/// `z2` slice must be zero-filled when the problem has no box constraint:
+/// the gradient is then `at + 0.0`, whose signed-zero behaviour (−0.0
+/// becomes +0.0) the pinned solver outputs depend on.
 ///
 /// # Panics
 ///
@@ -171,7 +181,8 @@ pub fn momentum_lanes(a_new: &[f64], a: &[f64], beta: f64, out: &mut [f64]) {
 }
 
 /// Scalar twins: the reference semantics for every kernel above. Each body
-/// is the exact operation sequence of the serial solver loop it replaces.
+/// is the exact per-element operation sequence of the one-vector prox or
+/// update it vectorizes.
 pub(crate) mod scalar {
     use crate::prox::soft_threshold;
 

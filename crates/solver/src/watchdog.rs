@@ -27,7 +27,8 @@
 //! };
 //! let watchdog = SolverWatchdog::new(config);
 //! assert!(watchdog.trip().is_none());
-//! // Pass `&mut watchdog` to any `solve_*_observed` entry point.
+//! // Pass `&mut watchdog` to any observer-taking entry point
+//! // (`solve_*_workspace`, `solve_*_observed`).
 //! ```
 
 use hybridcs_obs::{ConvergenceTrace, IterationEvent, IterationObserver};

@@ -33,7 +33,7 @@
 /// assert_eq!(again.len(), 96);
 /// assert!(again.capacity() >= 512);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     pool: Vec<Vec<f64>>,
     idx_pool: Vec<Vec<usize>>,

@@ -1,5 +1,5 @@
 //! End-to-end convergence instrumentation tests: seeded problems driven
-//! through the `*_observed` entry points, checking (a) the recorded
+//! through the observer-taking entry points, checking (a) the recorded
 //! [`hybridcs_solver::ConvergenceTrace`]s are coherent, (b) FISTA's
 //! objective sequence is monotone non-increasing up to numerical noise on
 //! a well-conditioned problem, and (c) an active observer never changes
@@ -8,10 +8,10 @@
 use hybridcs_dsp::{Dwt, Wavelet};
 use hybridcs_linalg::{vector, Matrix};
 use hybridcs_solver::{
-    solve_admm, solve_admm_observed, solve_fista, solve_fista_observed, solve_omp,
-    solve_omp_observed, solve_pdhg, solve_pdhg_observed, solve_reweighted,
-    solve_reweighted_observed, AdmmOptions, BpdnProblem, DenseOperator, FistaOptions,
-    GreedyOptions, PdhgOptions, RecordingObserver, ReweightedOptions, StopReason,
+    solve_admm, solve_admm_observed, solve_fista, solve_fista_workspace, solve_omp,
+    solve_omp_observed, solve_pdhg, solve_pdhg_workspace, solve_reweighted,
+    solve_reweighted_workspace, AdmmOptions, BpdnProblem, DenseOperator, FistaOptions,
+    GreedyOptions, PdhgOptions, RecordingObserver, ReweightedOptions, SolverWorkspace, StopReason,
 };
 
 /// Deterministic ±1/√n pseudo-Bernoulli sensing matrix (same LCG family as
@@ -58,7 +58,7 @@ fn fista_objective_is_monotone_non_increasing() {
         coefficient_weights: None,
     };
     let mut rec = RecordingObserver::new();
-    let result = solve_fista_observed(
+    let result = solve_fista_workspace(
         &problem,
         &FistaOptions {
             lambda: Some(0.003),
@@ -66,6 +66,7 @@ fn fista_objective_is_monotone_non_increasing() {
             ..FistaOptions::default()
         },
         &mut rec,
+        &mut SolverWorkspace::new(),
     )
     .unwrap();
 
@@ -110,7 +111,13 @@ fn active_observer_does_not_change_results() {
 
     let plain = solve_pdhg(&problem, &PdhgOptions::default()).unwrap();
     let mut rec = RecordingObserver::new();
-    let observed = solve_pdhg_observed(&problem, &PdhgOptions::default(), &mut rec).unwrap();
+    let observed = solve_pdhg_workspace(
+        &problem,
+        &PdhgOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )
+    .unwrap();
     assert_eq!(plain.signal, observed.signal);
     assert_eq!(plain.iterations, observed.iterations);
 
@@ -129,21 +136,27 @@ fn active_observer_does_not_change_results() {
     )
     .unwrap();
     let mut rec = RecordingObserver::new();
-    let observed = solve_fista_observed(
+    let observed = solve_fista_workspace(
         &problem,
         &FistaOptions {
             lambda: Some(0.003),
             ..FistaOptions::default()
         },
         &mut rec,
+        &mut SolverWorkspace::new(),
     )
     .unwrap();
     assert_eq!(plain.signal, observed.signal);
 
     let plain = solve_reweighted(&problem, &ReweightedOptions::default()).unwrap();
     let mut rec = RecordingObserver::new();
-    let observed =
-        solve_reweighted_observed(&problem, &ReweightedOptions::default(), &mut rec).unwrap();
+    let observed = solve_reweighted_workspace(
+        &problem,
+        &ReweightedOptions::default(),
+        &mut rec,
+        &mut SolverWorkspace::new(),
+    )
+    .unwrap();
     assert_eq!(plain.signal, observed.signal);
     assert_eq!(rec.trace().unwrap().solver, "reweighted");
     // Cumulative numbering: events strictly increase across rounds.

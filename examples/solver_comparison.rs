@@ -19,9 +19,9 @@ use hybridcs::linalg::Matrix;
 use hybridcs::metrics::snr_db;
 use hybridcs::obs::export;
 use hybridcs::solver::{
-    solve_admm_observed, solve_cosamp_observed, solve_fista_observed, solve_iht_observed,
-    solve_omp_observed, solve_pdhg_observed, AdmmOptions, BpdnProblem, ConvergenceTrace,
-    FistaOptions, GreedyOptions, PdhgOptions, RecordingObserver,
+    solve_admm_observed, solve_cosamp_observed, solve_fista_workspace, solve_iht_workspace,
+    solve_omp_observed, solve_pdhg_workspace, AdmmOptions, BpdnProblem, ConvergenceTrace,
+    FistaOptions, GreedyOptions, PdhgOptions, RecordingObserver, SolverWorkspace,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,20 +62,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
+    let mut ws = SolverWorkspace::new();
     let mut rec = RecordingObserver::new();
-    let r = solve_pdhg_observed(&boxed, &PdhgOptions::default(), &mut rec)?;
+    let r = solve_pdhg_workspace(&boxed, &PdhgOptions::default(), &mut rec, &mut ws)?;
     report("PDHG + box (hybrid)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
     let r = solve_admm_observed(&boxed, &AdmmOptions::default(), &mut rec)?;
     report("ADMM + box (hybrid)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_pdhg_observed(&plain, &PdhgOptions::default(), &mut rec)?;
+    let r = solve_pdhg_workspace(&plain, &PdhgOptions::default(), &mut rec, &mut ws)?;
     report("PDHG, no box (normal)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
     let r = solve_admm_observed(&plain, &AdmmOptions::default(), &mut rec)?;
     report("ADMM, no box (normal)", &r.signal, r.iterations, rec);
     let mut rec = RecordingObserver::new();
-    let r = solve_fista_observed(&plain, &FistaOptions::default(), &mut rec)?;
+    let r = solve_fista_workspace(&plain, &FistaOptions::default(), &mut rec, &mut ws)?;
     report("FISTA LASSO (baseline)", &r.signal, r.iterations, rec);
 
     // Greedy methods need the explicit dictionary A = Φ·Ψ (columns = Φ
@@ -107,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rec,
     );
     let mut rec = RecordingObserver::new();
-    let r = solve_iht_observed(&a, &y, &greedy_opts, &mut rec)?;
+    let r = solve_iht_workspace(&a, &y, &greedy_opts, &mut rec, &mut ws)?;
     report("IHT (greedy)", &dwt.inverse(&r.signal)?, r.iterations, rec);
 
     println!();

@@ -26,12 +26,24 @@ cargo test -q --offline --workspace
 
 echo "==> SIMD kernel pins on both tiers (natural dispatch, then HYBRIDCS_FORCE_SCALAR=1)"
 # The 0-ULP twin tests compare the AVX2 and scalar kernel bodies directly;
-# re-running the linalg + solver suites with the scalar pin additionally
-# drives every batch bit-identity test through the fallback dispatch path
-# that CI would otherwise only exercise on non-AVX2 hosts.
+# re-running the linalg + solver suites and the solver output pins with the
+# scalar pin additionally drives every batch bit-identity test through the
+# fallback dispatch path that CI would otherwise only exercise on non-AVX2
+# hosts.
 cargo test -q --release --offline -p hybridcs-linalg -p hybridcs-solver
+cargo test -q --release --offline --test solver_pins
 HYBRIDCS_FORCE_SCALAR=1 \
     cargo test -q --release --offline -p hybridcs-linalg -p hybridcs-solver
+HYBRIDCS_FORCE_SCALAR=1 \
+    cargo test -q --release --offline --test solver_pins
+
+echo "==> receiver benchmark package (fmt, clippy, self-tests)"
+# recvbench is a package of its own outside the workspace, built only from
+# the crates' public APIs; checking it here makes an API change that
+# breaks the benchmark fail CI.
+cargo fmt --manifest-path recvbench/Cargo.toml --check
+cargo clippy --offline --manifest-path recvbench/Cargo.toml --all-targets -- -D warnings
+cargo test -q --release --offline --manifest-path recvbench/Cargo.toml
 
 echo "==> observability round-trip (obs-enabled quickstart + JSONL check)"
 OBS_TMP="$(mktemp -d)"
